@@ -44,7 +44,7 @@ fuzz:
 # fingerprinter.
 chaos:
 	$(GO) test -race -timeout 15m ./internal/vfs/...
-	$(GO) test -race -timeout 15m -run 'TestChaos|TestSaveSyncs' ./internal/state ./internal/history ./internal/buildsys
+	$(GO) test -race -timeout 15m -run 'TestChaos|TestSaveSyncs|TestAppend' ./internal/state ./internal/history ./internal/buildsys
 	$(GO) test -race -timeout 15m -run 'TestPanic|TestSentinel|TestCancelled|TestAudited|TestWarnf' ./internal/buildsys
 	$(GO) test -race -timeout 15m -run 'TestServeSIGTERMDrain|TestServePollSkipsOverlap' ./cmd/minibuild
 	$(GO) test -fuzz FuzzStateDecode -fuzztime 30s ./internal/state

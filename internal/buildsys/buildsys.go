@@ -75,8 +75,9 @@ type Options struct {
 	// state directory is set; "-" disables recording entirely. Appends are
 	// advisory: failures never fail the build.
 	HistoryPath string
-	// HistoryLimit bounds the history file to the newest N records
-	// (default history.DefaultLimit).
+	// HistoryLimit bounds the history file to at most N records (default
+	// history.DefaultLimit); a full file drops its oldest tenth in one
+	// atomic rewrite.
 	HistoryLimit int
 	// FS is the filesystem the state and history layers perform their I/O
 	// through. Nil means the real filesystem; the chaos suites inject a

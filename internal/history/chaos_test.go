@@ -79,7 +79,7 @@ func checkIntegrity(t *testing.T, path string, nAppends int) []history.Record {
 }
 
 func TestChaosAppend(t *testing.T) {
-	const nAppends = 6 // crosses the rotation threshold at chaosLimit
+	const nAppends = 8 // crosses the rotation threshold at chaosLimit
 
 	// Record a clean run to enumerate fault points.
 	recDir := t.TempDir()

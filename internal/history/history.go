@@ -8,9 +8,9 @@
 // (summaries and CI regression gating, regress.go), and `minibuild serve`
 // (the /builds endpoint).
 //
-// The file is bounded: Append keeps only the newest Limit records
-// (default DefaultLimit), rewriting atomically when rotation is needed. A
-// torn trailing line from a crashed append is dropped on the next read —
+// The file is bounded: it holds at most Limit records (default
+// DefaultLimit); a full file drops its oldest tenth in one atomic rewrite.
+// A torn trailing line from a crashed append is dropped on the next read —
 // the recorder is advisory, and must never fail a build.
 //
 // Determinism: records encode via encoding/json, which sorts map keys, so
@@ -20,9 +20,11 @@ package history
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -269,20 +271,22 @@ func LoadFS(fsys vfs.FS, path string) ([]Record, error) {
 }
 
 // Append writes rec to the history file at path, assigning the next Seq and
-// bounding the file to the newest limit records (DefaultLimit when limit
-// <= 0). The fast path is a plain O_APPEND write; when rotation or corrupt
-// lines make a rewrite necessary, the file is replaced atomically
-// (temp + fsync + rename) so a crash never loses the existing history.
+// bounding the file to at most limit records (DefaultLimit when limit <=
+// 0); a full file drops its oldest tenth in one atomic rewrite. Old records
+// are scanned as raw lines, never decoded or re-encoded. The fast path is a
+// plain O_APPEND write; a rewrite copies the kept lines verbatim and swaps
+// the file atomically (temp + fsync + rename), so a crash never loses the
+// existing history.
 func Append(path string, rec *Record, limit int) error {
 	return AppendFS(vfs.OS, path, rec, limit)
 }
 
 // AppendFS is Append through an injectable filesystem (nil means the real
-// one). Every failure — including a short write or a failing Close on the
-// O_APPEND handle, which can silently drop a buffered record — is
-// detected and returned; callers that treat the recorder as advisory
-// (the build system) surface the error as a warning and counter rather
-// than dropping it on the floor.
+// one). Every failure — a read error while scanning the file, a short write
+// or a failing Close on the O_APPEND handle, which can silently drop a
+// buffered record — is detected and returned; callers that treat the
+// recorder as advisory (the build system) surface the error as a warning
+// and counter rather than dropping it on the floor.
 func AppendFS(fsys vfs.FS, path string, rec *Record, limit int) error {
 	fsys = vfs.Default(fsys)
 	if limit <= 0 {
@@ -292,102 +296,130 @@ func AppendFS(fsys vfs.FS, path string, rec *Record, limit int) error {
 		return fmt.Errorf("history: %w", err)
 	}
 
-	prev, err := LoadFS(fsys, path)
+	// One raw pass; only the newest complete line is decoded, for its Seq.
+	lines := 0
+	var last []byte
+	torn, err := forLines(fsys, path, func(l []byte) {
+		lines++
+		last = append(last[:0], l...)
+	})
+	seq := seqOf(last)
+	if err == nil && lines > 0 && seq == 0 {
+		// Corrupt: fall back to the newest line that parses.
+		_, err = forLines(fsys, path, func(l []byte) {
+			if s := seqOf(l); s > 0 {
+				seq = s
+			}
+		})
+	}
 	if err != nil {
-		return err
+		return fmt.Errorf("history: %w", err)
 	}
-	rec.Seq = 1
-	if n := len(prev); n > 0 {
-		rec.Seq = prev[n-1].Seq + 1
-	}
+	rec.Seq = seq + 1
 	line, err := rec.Encode()
 	if err != nil {
 		return fmt.Errorf("history: %w", err)
 	}
 	line = append(line, '\n')
 
-	if lines, partial, _ := fileShape(fsys, path); !partial && lines == len(prev) && len(prev)+1 <= limit {
-		f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("history: %w", err)
-		}
-		n, werr := f.Write(line)
-		if werr == nil && n != len(line) {
-			// A short write without an error would silently truncate the
-			// record; report it so the caller can count and warn.
-			werr = io.ErrShortWrite
-		}
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("history: %w", werr)
-		}
-		return nil
+	// A full file keeps its newest limit-limit/10-1 lines plus the new one,
+	// so the next limit/10 appends take the fast path. A torn tail from a
+	// crashed append also forces the rewrite: a plain append would fuse
+	// the new record onto it.
+	skip := 0
+	if lines >= limit {
+		skip = lines - (limit - limit/10 - 1)
 	}
+	if skip > 0 || torn {
+		return rewrite(fsys, path, skip, line)
+	}
+	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("history: %w", err)
+	}
+	n, werr := f.Write(line)
+	if werr == nil && n != len(line) {
+		// A short write without an error would silently truncate the
+		// record; report it so the caller can count and warn.
+		werr = io.ErrShortWrite
+	}
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		return fmt.Errorf("history: %w", werr)
+	}
+	return nil
+}
 
-	// Rewrite: drop corrupt lines, keep the newest limit-1 old records plus
-	// the new one, and swap atomically.
-	if len(prev) > limit-1 {
-		prev = prev[len(prev)-(limit-1):]
-	}
+// rewrite atomically replaces the file at path with its complete lines
+// after the first skip, copied verbatim, followed by line.
+func rewrite(fsys vfs.FS, path string, skip int, line []byte) error {
 	tmp, err := fsys.CreateTemp(filepath.Dir(path), TempPattern)
 	if err != nil {
 		return fmt.Errorf("history: %w", err)
 	}
 	defer fsys.Remove(tmp.Name())
 	w := bufio.NewWriter(tmp)
-	for i := range prev {
-		old, err := prev[i].Encode()
-		if err != nil {
-			continue
+	_, err = forLines(fsys, path, func(l []byte) {
+		if skip--; skip < 0 {
+			w.Write(l) // errors are sticky: Flush reports them
 		}
-		w.Write(old)
-		w.WriteByte('\n')
+	})
+	if err == nil {
+		w.Write(line)
+		err = w.Flush()
 	}
-	w.Write(line)
-	if err := w.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("history: %w", err)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("history: %w", err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("history: %w", err)
+	if err == nil {
+		err = fsys.Rename(tmp.Name(), path)
 	}
-	if err := fsys.Rename(tmp.Name(), path); err != nil {
+	if err != nil {
 		return fmt.Errorf("history: %w", err)
 	}
 	return nil
 }
 
-// fileShape reports the number of newline-terminated lines and whether the
-// file ends in a partial (torn) line. A line count differing from the
-// parseable-record count, or a partial tail, forces the rewrite path — a
-// plain append after a torn line would fuse the new record onto it.
-func fileShape(fsys vfs.FS, path string) (lines int, partialTail bool, err error) {
+// forLines calls fn with each newline-terminated line of the file at path
+// (newline included; valid only during the call) and reports whether
+// unterminated bytes follow the last one. Memory is bounded by the longest
+// line, never the file. A missing file has no lines; any other read error
+// fails the walk.
+func forLines(fsys vfs.FS, path string, fn func(line []byte)) (torn bool, err error) {
 	f, err := fsys.Open(path)
 	if os.IsNotExist(err) {
-		return 0, false, nil
+		return false, nil
 	}
 	if err != nil {
-		return 0, false, err
+		return false, err
 	}
 	defer f.Close()
-	r := bufio.NewReader(f)
-	for {
-		b, err := r.ReadByte()
-		if err != nil {
-			break
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 64<<10), math.MaxInt)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			return i + 1, data[:i+1], nil
 		}
-		if b == '\n' {
-			lines++
-			partialTail = false
-		} else {
-			partialTail = true
-		}
+		torn = atEOF && len(data) > 0
+		return 0, nil, nil
+	})
+	for sc.Scan() {
+		fn(sc.Bytes())
 	}
-	return lines, partialTail, nil
+	return torn, sc.Err()
+}
+
+// seqOf decodes just the Seq of one record line: 0 when the line does not
+// parse (Append numbers records from 1).
+func seqOf(line []byte) int {
+	var h struct{ Seq int }
+	if json.Unmarshal(line, &h) != nil {
+		return 0
+	}
+	return h.Seq
 }
