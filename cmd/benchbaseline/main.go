@@ -174,9 +174,8 @@ type Matrix struct {
 	Repeats int                `json:"repeats"`
 	Cells   []bench.MatrixCell `json:"cells"`
 	// Side-by-side costs of the retired flat fingerprint vs the
-	// hierarchical one, and of the v4 vs v5 state layouts.
+	// hierarchical one.
 	FingerprintCompare []*bench.FingerprintCompare `json:"fingerprint_compare"`
-	StateCompare       []*bench.StateCompare       `json:"state_compare"`
 	// Skip-rate guard stamp (see Baseline).
 	MinSkipRateFloorPct    float64 `json:"min_skip_rate_floor_pct"`
 	MeasuredMinSkipRatePct float64 `json:"measured_min_skip_rate_pct"`
@@ -626,14 +625,9 @@ func runMatrix(out string, commits, repeats, nprofiles int, workersFlag string, 
 		}
 		fc.SpeedupWarmVsLegacy = round3(fc.SpeedupWarmVsLegacy)
 		doc.FingerprintCompare = append(doc.FingerprintCompare, fc)
-		sc, err := bench.CompareStateFormats(p)
-		if err != nil {
-			return err
-		}
-		doc.StateCompare = append(doc.StateCompare, sc)
-		fmt.Fprintf(os.Stderr, "%-12s fingerprint legacy %dns  cold %dns  warm %dns (%.1fx)  state v4 %dB/%dns  v5 %dB/%dns\n",
+		fmt.Fprintf(os.Stderr, "%-12s fingerprint legacy %dns  cold %dns  warm %dns (%.1fx)\n",
 			p.Name, fc.LegacyNSPerModule, fc.ColdMemoNSPerModule, fc.WarmMemoNSPerModule,
-			fc.SpeedupWarmVsLegacy, sc.V4Bytes, sc.V4DecodeNS, sc.V5Bytes, sc.V5DecodeNS)
+			fc.SpeedupWarmVsLegacy)
 	}
 
 	doc.MinSkipRateFloorPct = minSkip

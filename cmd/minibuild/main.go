@@ -21,9 +21,10 @@
 //	minibuild serve -dir ./proj -addr :8377  daemon with /metrics, /builds,
 //	                                         /healthz, /dash and /debug/pprof
 //
-// Within one process the object cache lives in memory; the dormancy state
-// additionally persists to -cache so the *next* invocation's recompiles
-// still skip dormant passes — exactly the paper's deployment model.
+// Each unit's object and dormancy state persist to -cache, so the *next*
+// invocation compiles only the changed units, and those still skip their
+// dormant passes — exactly the paper's deployment model (with -cas the
+// objects live in the shared cache instead).
 package main
 
 import (

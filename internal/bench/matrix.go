@@ -9,7 +9,6 @@ package bench
 // thing as BENCH_pr6.json.
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"sort"
@@ -17,11 +16,9 @@ import (
 
 	"statefulcc/internal/buildsys"
 	"statefulcc/internal/compiler"
-	"statefulcc/internal/core"
 	"statefulcc/internal/fingerprint"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/project"
-	"statefulcc/internal/state"
 	"statefulcc/internal/workload"
 )
 
@@ -268,103 +265,4 @@ func CompareFingerprints(p workload.Profile) (*FingerprintCompare, error) {
 		fc.SpeedupWarmVsLegacy = float64(fc.LegacyNSPerModule) / float64(fc.WarmMemoNSPerModule)
 	}
 	return fc, nil
-}
-
-// StateCompare prices the v5 zero-copy state layout against the v4
-// streaming layout on a real dormancy state produced by compiling one
-// profile's unit.
-type StateCompare struct {
-	Profile string `json:"profile"`
-	V4Bytes int    `json:"v4_bytes"`
-	V5Bytes int    `json:"v5_bytes"`
-	// Encode/decode cost per round trip.
-	V4EncodeNS int64 `json:"v4_encode_ns"`
-	V5EncodeNS int64 `json:"v5_encode_ns"`
-	V4DecodeNS int64 `json:"v4_decode_ns"`
-	V5DecodeNS int64 `json:"v5_decode_ns"`
-	// Heap allocations per decode (the v5 path slices one buffer instead
-	// of copying strings, so it should allocate measurably less).
-	V4DecodeAllocs float64 `json:"v4_decode_allocs"`
-	V5DecodeAllocs float64 `json:"v5_decode_allocs"`
-}
-
-// CompareStateFormats measures one profile's generated unit 0.
-func CompareStateFormats(p workload.Profile) (*StateCompare, error) {
-	snap := workload.Generate(p)
-	units := snap.Units()
-	d, err := core.NewDriver(core.Options{Policy: core.Stateful})
-	if err != nil {
-		return nil, err
-	}
-	m, err := compiler.Frontend(units[0], snap[units[0]])
-	if err != nil {
-		return nil, err
-	}
-	st, _, err := d.Run(m, nil)
-	if err != nil {
-		return nil, err
-	}
-
-	sc := &StateCompare{Profile: p.Name}
-	var v4, v5 bytes.Buffer
-	if err := state.EncodeV4(&v4, st); err != nil {
-		return nil, err
-	}
-	if err := state.Encode(&v5, st); err != nil {
-		return nil, err
-	}
-	sc.V4Bytes, sc.V5Bytes = v4.Len(), v5.Len()
-
-	// Best-of-rounds, for the same reason as CompareFingerprints.
-	const iters, rounds = 128, 3
-	minRound := func(body func() error) (int64, error) {
-		best := int64(0)
-		for r := 0; r < rounds; r++ {
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				if err := body(); err != nil {
-					return 0, err
-				}
-			}
-			if ns := time.Since(start).Nanoseconds() / iters; r == 0 || ns < best {
-				best = ns
-			}
-		}
-		return best, nil
-	}
-
-	var buf bytes.Buffer
-	if sc.V4EncodeNS, err = minRound(func() error {
-		buf.Reset()
-		return state.EncodeV4(&buf, st)
-	}); err != nil {
-		return nil, err
-	}
-	if sc.V5EncodeNS, err = minRound(func() error {
-		buf.Reset()
-		return state.Encode(&buf, st)
-	}); err != nil {
-		return nil, err
-	}
-
-	decode := func(data []byte) (int64, float64, error) {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		ns, err := minRound(func() error {
-			_, derr := state.DecodeBytes(data)
-			return derr
-		})
-		if err != nil {
-			return 0, 0, err
-		}
-		runtime.ReadMemStats(&m1)
-		return ns, float64(m1.Mallocs-m0.Mallocs) / (iters * rounds), nil
-	}
-	if sc.V4DecodeNS, sc.V4DecodeAllocs, err = decode(v4.Bytes()); err != nil {
-		return nil, err
-	}
-	if sc.V5DecodeNS, sc.V5DecodeAllocs, err = decode(v5.Bytes()); err != nil {
-		return nil, err
-	}
-	return sc, nil
 }

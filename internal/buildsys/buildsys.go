@@ -8,9 +8,13 @@
 //     skipping the paper's dilution structure depends on);
 //
 //   - per-unit dormancy state for the stateful/predictive policies, fed
-//     back into the compiler when a changed unit *is* recompiled, and
-//     optionally persisted to a state directory so the next process still
-//     skips dormant passes; and
+//     back into the compiler when a changed unit *is* recompiled; and
+//
+//   - with a state directory, both persisted in one file per unit (objects
+//     in the stateful mode only): a new process serves every unchanged
+//     unit's object from disk and compiles only the changed units, which
+//     still skip their dormant passes (with a shared cache the objects
+//     live in the CAS instead); and
 //
 //   - one compiler per worker slot, so changed units compile concurrently
 //     on a bounded pool (compilers are not safe for concurrent use).
@@ -50,9 +54,12 @@ type Options struct {
 	// Workers bounds concurrent unit compilations; values < 1 normalize to
 	// GOMAXPROCS.
 	Workers int
-	// StateDir, when set, persists per-unit dormancy state across
-	// processes (stateful/predictive modes). Missing or corrupt state
-	// files are treated as a cold start, never an error.
+	// StateDir, when set, persists each compiled unit's dormancy state
+	// (stateful/predictive modes) and, in the stateful mode, its object
+	// across processes, one file per unit: a new Builder serves unchanged
+	// units from it and compiles only the rest. Missing or corrupt state files are treated as a cold start,
+	// never an error; a damaged object only recompiles its unit. State files
+	// of units no longer in the project are removed by the first build.
 	StateDir string
 	// VerifyIR forwards to the compiler (slow; tests only).
 	VerifyIR bool
@@ -108,7 +115,9 @@ type Options struct {
 	// compiles publish their objects and dormancy state back. When the
 	// store also implements cas.Leaser, concurrent misses of the same
 	// action coalesce onto one compile. Advisory: every CAS failure
-	// degrades to a local recompile with a warning (see cas.go).
+	// degrades to a local recompile with a warning (see cas.go). With a
+	// CAS, objects live only there: state files carry no object, so each
+	// object keeps one home.
 	CAS cas.Store
 }
 
@@ -201,7 +210,6 @@ type unitEntry struct {
 	obj        *codegen.Object   // cached object
 	state      *core.UnitState   // dormancy records (stateful/predictive)
 	stateBytes int               // serialized size of state
-	diskProbed bool              // StateDir was already consulted for this unit
 	fp         *footprint.Record // traced read footprint of the last compile
 }
 
@@ -213,6 +221,10 @@ type Builder struct {
 	fs      vfs.FS               // normalized Options.FS (never nil)
 	workers []*compiler.Compiler // one per worker slot, reused across builds
 	units   map[string]*unitEntry
+
+	// stateFiles lists the state files StateDir held when the builder
+	// started, until the first build removes the orphans among them.
+	stateFiles []string
 
 	// fallbacks are lazily created stateless compilers, one per worker
 	// slot, used to retry a unit whose compile panicked (panic isolation)
@@ -431,25 +443,32 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 			b.removeUnitState(name)
 		}
 	}
+	b.sweepOrphans(snap)
 
 	rep := &Report{
 		Units: make(map[string]UnitReport, len(snap)),
 		stats: &core.Stats{},
 	}
 
-	// Partition: content-hash every unit, collect the ones needing work.
-	// With footprint tracing on, every declared decision is cross-checked
-	// against the unit's traced read footprint — and under EnforceFootprint
-	// the footprint verdict overrides the declared one.
+	// Partition: content-hash every unit, collect the ones needing work. A
+	// unit new to this builder first has its persisted state (and object)
+	// restored from StateDir. With footprint tracing on, every declared
+	// decision is cross-checked against the unit's traced read footprint —
+	// and under EnforceFootprint the footprint verdict overrides the
+	// declared one.
 	pipeHash := footprint.HashStrings(b.opts.Pipeline)
 	units := snap.Units()
 	var work []string
+	var workHash []uint64 // declared hash of each work unit
 	var skipEvents []obs.UnitEvent
 	for _, name := range units {
 		src := snap[name]
 		decStartNS := b.tlNow()
 		h := b.declaredHash(name, src)
 		e := b.units[name]
+		if e == nil {
+			e = b.restoreUnit(name, h)
+		}
 		cached := e != nil && e.hash == h && e.obj != nil
 		if b.footprintOn() {
 			cached = b.crossCheck(rep, e, name, src, pipeHash, cached)
@@ -471,6 +490,7 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 			continue
 		}
 		work = append(work, name)
+		workHash = append(workHash, h)
 	}
 
 	// Compile changed units on the worker pool. The phase-start stamp is
@@ -478,7 +498,7 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 	// within [CompileStartNS, CompileStartNS+CompileNS] on the timeline.
 	compileStart := time.Now()
 	compileStartNS := b.tlNow()
-	outcomes, unitEvents, err := b.runCompiles(ctx, snap, work)
+	outcomes, unitEvents, err := b.runCompiles(ctx, snap, work, workHash)
 	if err != nil {
 		return nil, err
 	}
@@ -499,9 +519,8 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 				e = &unitEntry{}
 				b.units[name] = e
 			}
-			e.hash = b.declaredHash(name, snap[name])
+			e.hash = workHash[i]
 			e.obj = out.casObj
-			e.diskProbed = true
 			// The remote object carries no trace; any prior footprint no
 			// longer describes it.
 			e.fp = nil
@@ -525,9 +544,8 @@ func (b *Builder) BuildContext(ctx context.Context, snap project.Snapshot) (*Rep
 			e = &unitEntry{}
 			b.units[name] = e
 		}
-		e.hash = b.declaredHash(name, snap[name])
+		e.hash = workHash[i]
 		e.obj = out.res.Object
-		e.diskProbed = true // fresh state below supersedes anything on disk
 		if out.fp != nil {
 			e.fp = out.fp
 		}

@@ -2,8 +2,11 @@ package buildsys_test
 
 // Build-system chaos suite — the tentpole robustness guarantee: walk every
 // injectable state/history I/O fault point of a build→edit→rebuild
-// sequence (including a fresh-process disk reload) and prove the
-// "never worse than cold" degradation invariant:
+// sequence (including a fresh process that edits both units and
+// recompiles them from disk state), and of a sequence with a new process
+// per build (TestChaosRestartWalk, where unchanged units are served from
+// their persisted objects), and prove the "never worse than cold"
+// degradation invariant:
 //
 //  1. the builder returns success whenever the compile itself succeeds —
 //     state-layer and flight-recorder failures surface as Report.Warnings
@@ -12,7 +15,8 @@ package buildsys_test
 //     stateless build of the same snapshot, no matter which I/O call
 //     failed, crashed, or tore; and
 //  3. after the fault clears, one clean build re-persists state and the
-//     next fresh builder recovers the full skip rate of an unfaulted run.
+//     next fresh builder recovers the full skip rate of an unfaulted run
+//     (and, in the restart walk, compiles nothing at all).
 //
 // Fault points are enumerated by recording a clean run over the vfs seam
 // — the harness asserts its own coverage instead of trusting a hand-kept
@@ -49,6 +53,22 @@ func helper(n int) int {
 	return s
 }
 
+// chaosRestartSnap is chaosEditedSnap with a function added to each unit —
+// what a fresh process builds in chaosSequence, so that both units
+// recompile from their persisted dormancy state (unchanged units would be
+// served from their persisted objects instead) and their untouched
+// functions skip dormant passes.
+func chaosRestartSnap() project.Snapshot {
+	s := chaosEditedSnap()
+	s["lib.mc"] = append(append([]byte(nil), s["lib.mc"]...), `
+func twice(x int) int { return x * 2; }
+`...)
+	s["main.mc"] = append(append([]byte(nil), s["main.mc"]...), `
+func unused_main(x int) int { return x + 3; }
+`...)
+	return s
+}
+
 // chaosCanon builds the suite's canonicalizer over a state directory.
 func chaosCanon(stateDir string) vfs.Option {
 	return vfs.WithCanon(chaostest.Canon(stateDir, state.TempPattern, histpkg.TempPattern))
@@ -69,12 +89,12 @@ func chaosBuilder(t *testing.T, fsys vfs.FS, stateDir string, workers int) *buil
 }
 
 // chaosSequence runs the workload under test — build A, edit, rebuild B,
-// then a fresh builder ("new process") rebuilding B from disk state — and
-// returns the three programs' disassemblies. Builds must succeed: the
+// then a fresh builder ("new process") building C (both units edited) from
+// disk state — and returns the three programs' disassemblies. Builds must succeed: the
 // compile itself never touches the filesystem (sources come from the
 // in-memory snapshot), so any build error here means a state/history I/O
 // fault escaped the degradation layer.
-func chaosSequence(t *testing.T, fsys vfs.FS, stateDir string, workers int) (disA, disB, disB2 string) {
+func chaosSequence(t *testing.T, fsys vfs.FS, stateDir string, workers int) (disA, disB, disC string) {
 	t.Helper()
 	b1 := chaosBuilder(t, fsys, stateDir, workers)
 	repA, err := b1.Build(twoUnitSnap())
@@ -86,13 +106,13 @@ func chaosSequence(t *testing.T, fsys vfs.FS, stateDir string, workers int) (dis
 		t.Fatalf("rebuild B failed under injected I/O fault: %v", err)
 	}
 	b2 := chaosBuilder(t, fsys, stateDir, workers)
-	repB2, err := b2.Build(chaosEditedSnap())
+	repC, err := b2.Build(chaosRestartSnap())
 	if err != nil {
-		t.Fatalf("fresh-builder rebuild B failed under injected I/O fault: %v", err)
+		t.Fatalf("fresh-builder build C failed under injected I/O fault: %v", err)
 	}
 	return codegen.DisassembleProgram(repA.Program),
 		codegen.DisassembleProgram(repB.Program),
-		codegen.DisassembleProgram(repB2.Program)
+		codegen.DisassembleProgram(repC.Program)
 }
 
 // statelessDisasm builds snap with the stateless policy — the byte-identity
@@ -108,13 +128,13 @@ func statelessDisasm(t *testing.T, snap project.Snapshot) string {
 
 // controlSkips measures the full skip rate of an unfaulted fresh builder:
 // one clean builder persists state for snapB, then another loads it and
-// rebuilds. The walk's recovery invariant must reach exactly this number.
+// builds snapC, recompiling both units. The walk's recovery invariant must
+// reach exactly this number.
 func controlSkips(t *testing.T) int {
 	t.Helper()
 	dir := t.TempDir()
-	snapB := chaosEditedSnap()
-	mustBuild(t, chaosBuilder(t, nil, dir, 1), snapB)
-	rep := mustBuild(t, chaosBuilder(t, nil, dir, 1), snapB)
+	mustBuild(t, chaosBuilder(t, nil, dir, 1), chaosEditedSnap())
+	rep := mustBuild(t, chaosBuilder(t, nil, dir, 1), chaosRestartSnap())
 	_, _, skipped := rep.Stats().Totals()
 	if skipped == 0 {
 		t.Fatal("control run has zero skips; the recovery invariant would be vacuous")
@@ -123,20 +143,20 @@ func controlSkips(t *testing.T) int {
 }
 
 // assertRecovered checks the recovery invariant over a possibly-damaged
-// state directory: a clean (fault-free) build heals the persisted state,
-// and the next fresh builder reaches the full control skip rate.
-func assertRecovered(t *testing.T, stateDir, wantDisB string, wantSkips int) {
+// state directory: a clean (fault-free) build of snapB heals the persisted
+// state, and the next fresh builder, building snapC, reaches the full
+// control skip rate.
+func assertRecovered(t *testing.T, stateDir, wantDisB, wantDisC string, wantSkips int) {
 	t.Helper()
-	snapB := chaosEditedSnap()
-	repHeal := mustBuild(t, chaosBuilder(t, nil, stateDir, 1), snapB)
+	repHeal := mustBuild(t, chaosBuilder(t, nil, stateDir, 1), chaosEditedSnap())
 	if len(repHeal.Warnings) != 0 {
 		t.Fatalf("fault-free healing build still warned: %v", repHeal.Warnings)
 	}
 	if codegen.DisassembleProgram(repHeal.Program) != wantDisB {
 		t.Fatal("healing build output differs from the stateless baseline")
 	}
-	repWarm := mustBuild(t, chaosBuilder(t, nil, stateDir, 1), snapB)
-	if codegen.DisassembleProgram(repWarm.Program) != wantDisB {
+	repWarm := mustBuild(t, chaosBuilder(t, nil, stateDir, 1), chaosRestartSnap())
+	if codegen.DisassembleProgram(repWarm.Program) != wantDisC {
 		t.Fatal("post-recovery warm build output differs from the stateless baseline")
 	}
 	if _, _, skipped := repWarm.Stats().Totals(); skipped != wantSkips {
@@ -148,7 +168,8 @@ func assertRecovered(t *testing.T, stateDir, wantDisB string, wantSkips int) {
 func TestChaosBuildRebuild(t *testing.T) {
 	baseA := statelessDisasm(t, twoUnitSnap())
 	baseB := statelessDisasm(t, chaosEditedSnap())
-	if baseA == baseB {
+	baseC := statelessDisasm(t, chaosRestartSnap())
+	if baseA == baseB || baseB == baseC {
 		t.Fatal("edited snapshot compiles identically; the edit step is vacuous")
 	}
 	wantSkips := controlSkips(t)
@@ -157,8 +178,8 @@ func TestChaosBuildRebuild(t *testing.T) {
 	// recorded call sequence deterministic).
 	recDir := t.TempDir()
 	rec := vfs.NewFaultFS(vfs.OS, chaosCanon(recDir))
-	disA, disB, disB2 := chaosSequence(t, rec, recDir, 1)
-	if disA != baseA || disB != baseB || disB2 != baseB {
+	disA, disB, disC := chaosSequence(t, rec, recDir, 1)
+	if disA != baseA || disB != baseB || disC != baseC {
 		t.Fatal("clean recorded run does not match the stateless baselines")
 	}
 	points := chaostest.Points(rec.Calls())
@@ -185,7 +206,7 @@ func TestChaosBuildRebuild(t *testing.T) {
 				t.Parallel()
 				dir := t.TempDir()
 				ffs := vfs.NewFaultFS(vfs.OS, chaosCanon(dir), vfs.WithRules(chaostest.RuleFor(p, kind)))
-				disA, disB, disB2 := chaosSequence(t, ffs, dir, 1)
+				disA, disB, disC := chaosSequence(t, ffs, dir, 1)
 
 				// Coverage self-check. Flight-recorder records embed build
 				// timings, so buffered write/read chunk counts can shift ±1
@@ -200,12 +221,12 @@ func TestChaosBuildRebuild(t *testing.T) {
 				if disB != baseB {
 					t.Error("rebuild B output differs from the stateless baseline")
 				}
-				if disB2 != baseB {
-					t.Error("fresh-builder rebuild B output differs from the stateless baseline")
+				if disC != baseC {
+					t.Error("fresh-builder build C output differs from the stateless baseline")
 				}
 
 				// Invariant: the fault clears, state heals, skips recover.
-				assertRecovered(t, dir, baseB, wantSkips)
+				assertRecovered(t, dir, baseB, baseC, wantSkips)
 			})
 		}
 	}
@@ -330,16 +351,17 @@ func fmt16ish(i int) string {
 func TestChaosSeededSchedules(t *testing.T) {
 	baseA := statelessDisasm(t, twoUnitSnap())
 	baseB := statelessDisasm(t, chaosEditedSnap())
+	baseC := statelessDisasm(t, chaosRestartSnap())
 	wantSkips := controlSkips(t)
 
 	for _, seed := range []uint64{1, 7, 42, 1337} {
 		seed := seed
 		t.Run("seed"+strconv.FormatUint(seed, 10), func(t *testing.T) {
 			t.Parallel()
-			run := func(dir string) (disA, disB, disB2 string, injected []string) {
+			run := func(dir string) (disA, disB, disC string, injected []string) {
 				ffs := vfs.NewFaultFS(vfs.OS, chaosCanon(dir),
 					vfs.WithSchedule(&vfs.Schedule{Seed: seed, Prob: 0.2, Torn: true}))
-				disA, disB, disB2 = chaosSequence(t, ffs, dir, 2)
+				disA, disB, disC = chaosSequence(t, ffs, dir, 2)
 				for _, c := range ffs.Injected() {
 					injected = append(injected, c.String())
 				}
@@ -347,8 +369,8 @@ func TestChaosSeededSchedules(t *testing.T) {
 				return
 			}
 
-			disA, disB, disB2, inj1 := run(t.TempDir())
-			if disA != baseA || disB != baseB || disB2 != baseB {
+			disA, disB, disC, inj1 := run(t.TempDir())
+			if disA != baseA || disB != baseB || disC != baseC {
 				t.Fatalf("seed %d: faulted build output differs from stateless baseline", seed)
 			}
 
@@ -380,5 +402,113 @@ func TestChaosSeededSchedules(t *testing.T) {
 	ffs := vfs.NewFaultFS(vfs.OS, chaosCanon(dir),
 		vfs.WithSchedule(&vfs.Schedule{Seed: 99, Prob: 0.3, Torn: true}))
 	chaosSequence(t, ffs, dir, 2)
-	assertRecovered(t, dir, baseB, wantSkips)
+	assertRecovered(t, dir, baseB, baseC, wantSkips)
+}
+
+// restartSnaps is the restart walk's build sequence: one new process per
+// build — cold, unchanged (everything served from disk), a one-unit edit,
+// then both units edited.
+func restartSnaps() []project.Snapshot {
+	return []project.Snapshot{twoUnitSnap(), twoUnitSnap(), libGrownSnap(), chaosRestartSnap()}
+}
+
+// restartSequence builds restartSnaps with a new builder per build over one
+// state directory — one minibuild process per build — and returns the
+// programs' disassemblies and the reports.
+func restartSequence(t *testing.T, fsys vfs.FS, stateDir string) ([]string, []*buildsys.Report) {
+	t.Helper()
+	var dis []string
+	var reps []*buildsys.Report
+	for i, snap := range restartSnaps() {
+		rep, err := chaosBuilder(t, fsys, stateDir, 1).Build(snap)
+		if err != nil {
+			t.Fatalf("process %d failed under injected I/O fault: %v", i, err)
+		}
+		dis = append(dis, codegen.DisassembleProgram(rep.Program))
+		reps = append(reps, rep)
+	}
+	return dis, reps
+}
+
+// TestChaosRestartWalk is the fault-point walk over restartSequence: every
+// state/history I/O call of four processes — including the loads that
+// restore persisted objects — failed, crashed and (for writes) torn. Every
+// program must equal the stateless oracle, and after the fault clears one
+// clean process heals the directory so that the next one compiles nothing.
+func TestChaosRestartWalk(t *testing.T) {
+	var base []string
+	for _, snap := range restartSnaps() {
+		base = append(base, statelessDisasm(t, snap))
+	}
+	last := base[len(base)-1]
+
+	recDir := t.TempDir()
+	rec := vfs.NewFaultFS(vfs.OS, chaosCanon(recDir))
+	dis, reps := restartSequence(t, rec, recDir)
+	for i := range base {
+		if dis[i] != base[i] {
+			t.Fatalf("clean recorded process %d does not match the stateless oracle", i)
+		}
+	}
+	// The clean run must take the persisted-object path: the unchanged
+	// second process compiles nothing, the one-unit edit compiles one unit.
+	if reps[1].UnitsCompiled != 0 || reps[2].UnitsCompiled != 1 || reps[3].UnitsCompiled != 2 {
+		t.Fatalf("clean run compiled %d/%d/%d units in processes 2-4, want 0/1/2",
+			reps[1].UnitsCompiled, reps[2].UnitsCompiled, reps[3].UnitsCompiled)
+	}
+	points := chaostest.Points(rec.Calls())
+	if len(points) < 60 {
+		t.Fatalf("recorded only %d fault points; the vfs seam has shrunk: %v", len(points), points)
+	}
+	cov := chaostest.OpsCovered(points)
+	for _, op := range []vfs.Op{vfs.OpMkdirAll, vfs.OpReadDir, vfs.OpOpen, vfs.OpOpenFile,
+		vfs.OpCreateTemp, vfs.OpRead, vfs.OpWrite, vfs.OpSync, vfs.OpClose, vfs.OpRename, vfs.OpRemove} {
+		if cov[op] == 0 {
+			t.Fatalf("sequence never performs %s; the walk is not covering the I/O surface (%v)", op, cov)
+		}
+	}
+	stateReads := 0
+	for _, p := range points {
+		if p.Op == vfs.OpRead && strings.HasSuffix(p.Path, ".state") {
+			stateReads++
+		}
+	}
+	if stateReads < 6 {
+		t.Fatalf("only %d state-file read points; the object loads are not on the walk", stateReads)
+	}
+	t.Logf("walking %d fault points (%d ops, %d state reads)", len(points), len(cov), stateReads)
+
+	for _, p := range points {
+		kinds := []vfs.Fault{vfs.FaultError, vfs.FaultCrash}
+		if p.Op == vfs.OpWrite {
+			kinds = append(kinds, vfs.FaultTorn)
+		}
+		for _, kind := range kinds {
+			p, kind := p, kind
+			t.Run(chaostest.Name(p, kind), func(t *testing.T) {
+				t.Parallel()
+				dir := t.TempDir()
+				ffs := vfs.NewFaultFS(vfs.OS, chaosCanon(dir), vfs.WithRules(chaostest.RuleFor(p, kind)))
+				dis, _ := restartSequence(t, ffs, dir)
+				chaostest.AssertFiredOrAbsent(t, ffs, p)
+				for i := range base {
+					if dis[i] != base[i] {
+						t.Errorf("process %d output differs from the stateless oracle", i)
+					}
+				}
+
+				heal := mustBuild(t, chaosBuilder(t, nil, dir, 1), chaosRestartSnap())
+				if len(heal.Warnings) != 0 {
+					t.Fatalf("fault-free healing process still warned: %v", heal.Warnings)
+				}
+				warm := mustBuild(t, chaosBuilder(t, nil, dir, 1), chaosRestartSnap())
+				if warm.UnitsCompiled != 0 {
+					t.Fatalf("after healing a new process compiled %d units, want 0", warm.UnitsCompiled)
+				}
+				if codegen.DisassembleProgram(heal.Program) != last || codegen.DisassembleProgram(warm.Program) != last {
+					t.Fatal("post-recovery output differs from the stateless oracle")
+				}
+			})
+		}
+	}
 }

@@ -4,10 +4,11 @@ package buildsys
 // always-correct mode (docs/ROBUSTNESS.md). With Options.Footprint on,
 // every compile runs with a footprint.Trace attached: the unit's source
 // and the pipeline configuration are recorded as invalidating entries,
-// state-file I/O flows through the trace's recording FS wrapper as
-// advisory entries, and the compiled object's unresolved relocations
-// become link-scope entries. The finished record rides on the unit's
-// persisted state (format v6) and is retained in memory.
+// and the compiled object's unresolved relocations become link-scope
+// entries. (State files are loaded in the partition step, before any
+// compile, so build-system traces carry no advisory file reads.) The
+// finished record rides on the unit's persisted state (format v6+) and is
+// retained in memory; a new process restores it with the unit's object.
 //
 // On the next build the partition loop derives the *true* invalidation
 // verdict from the retained footprint and compares it with the declared

@@ -168,7 +168,7 @@ func TestFootprintPersistsInStateV6(t *testing.T) {
 }
 
 // TestChaosFootprintFaultWalk replays the build→edit→rebuild→fresh-builder
-// sequence with footprint tracing and enforcement on, injecting one
+// (both units edited) sequence with footprint tracing and enforcement on, injecting one
 // FaultError per recorded I/O point. Invariants: builds never fail, output
 // stays byte-identical to the stateless oracle (no fault may flip a cache
 // decision the wrong way), and honest builds never report missed
@@ -177,6 +177,7 @@ func TestFootprintPersistsInStateV6(t *testing.T) {
 func TestChaosFootprintFaultWalk(t *testing.T) {
 	baseA := statelessDisasm(t, twoUnitSnap())
 	baseB := statelessDisasm(t, chaosEditedSnap())
+	baseC := statelessDisasm(t, chaosRestartSnap())
 
 	run := func(t *testing.T, fsys vfs.FS, dir string) {
 		t.Helper()
@@ -199,25 +200,26 @@ func TestChaosFootprintFaultWalk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rebuild B failed under fault: %v", err)
 		}
+		// The fresh builder edits both units, so both recompile from disk
+		// state (unchanged ones would be served from persisted objects).
 		b2 := mk()
-		repB2, err := b2.Build(chaosEditedSnap())
+		repC, err := b2.Build(chaosRestartSnap())
 		if err != nil {
 			t.Fatalf("fresh-builder rebuild failed under fault: %v", err)
 		}
-		for i, rep := range []*buildsys.Report{repA, repB, repB2} {
+		for i, rep := range []*buildsys.Report{repA, repB, repC} {
 			if len(rep.FootprintMissed) != 0 {
 				t.Fatalf("build %d: honest faulted build reported missed invalidations: %v", i, rep.FootprintMissed)
 			}
 		}
 		if codegen.DisassembleProgram(repA.Program) != baseA ||
 			codegen.DisassembleProgram(repB.Program) != baseB ||
-			codegen.DisassembleProgram(repB2.Program) != baseB {
+			codegen.DisassembleProgram(repC.Program) != baseC {
 			t.Fatal("faulted footprint build diverged from the stateless oracle")
 		}
 	}
 
-	// Clean recorded run enumerates the footprint-mode fault points —
-	// including the traced state reads through the recording wrapper.
+	// Clean recorded run enumerates the footprint-mode fault points.
 	recDir := t.TempDir()
 	rec := vfs.NewFaultFS(vfs.OS, chaosCanon(recDir))
 	run(t, rec, recDir)

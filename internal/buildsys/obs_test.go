@@ -189,7 +189,9 @@ func TestObsSpanCoverage(t *testing.T) {
 
 // TestObsSkipRatePersistedState: a fresh traced builder on a warmed
 // StateDir must report a positive skip rate through the metrics snapshot —
-// the CLI's "second build" acceptance criterion at the library level.
+// the CLI's "second build" acceptance criterion at the library level. The
+// second build follows an edit: unchanged units are served from their
+// persisted objects, and the edited ones recompile with their records.
 func TestObsSkipRatePersistedState(t *testing.T) {
 	dir := t.TempDir()
 	base := workload.Generate(obsProfile())
@@ -208,16 +210,20 @@ func TestObsSkipRatePersistedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := b2.Build(base)
+	edited, _ := workload.NewEditor(1).Commit(base, workload.DefaultCommitOptions())
+	rep, err := b2.Build(edited)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.UnitsCompiled == 0 || rep.UnitsCompiled == len(edited) {
+		t.Fatalf("warm rebuild compiled %d of %d units; want only the edited ones", rep.UnitsCompiled, len(edited))
 	}
 	m := b2.Metrics()
 	if m[obs.CtrPassSkipped] == 0 || obs.SkipRate(m) <= 0 {
 		t.Errorf("warm rebuild skipped nothing: %s=%d", obs.CtrPassSkipped, m[obs.CtrPassSkipped])
 	}
-	if m[obs.CtrStateLoads] != int64(rep.UnitsCompiled) {
-		t.Errorf("%s = %d, want %d", obs.CtrStateLoads, m[obs.CtrStateLoads], rep.UnitsCompiled)
+	if m[obs.CtrStateLoads] != int64(len(edited)) {
+		t.Errorf("%s = %d, want one per unit (%d)", obs.CtrStateLoads, m[obs.CtrStateLoads], len(edited))
 	}
 	if rep.Metrics[obs.CtrPassSkipped] != m[obs.CtrPassSkipped] {
 		t.Error("report metrics snapshot disagrees with builder registry")

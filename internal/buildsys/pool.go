@@ -43,7 +43,6 @@ import (
 	"statefulcc/internal/footprint"
 	"statefulcc/internal/obs"
 	"statefulcc/internal/project"
-	"statefulcc/internal/vfs"
 )
 
 // outcome is one unit's compile result.
@@ -74,11 +73,12 @@ type outcome struct {
 type compileJob struct {
 	name string
 	src  []byte
-	// prev is the unit's in-memory dormancy state, if any.
+	// hash is the unit's declared content hash, as the partition step
+	// decided on it.
+	hash uint64
+	// prev is the unit's dormancy state, if any (restored from StateDir
+	// by the partition step when this process had none).
 	prev *core.UnitState
-	// probeDisk asks the worker to try loading state from StateDir first
-	// (first compile of this unit in this process).
-	probeDisk bool
 	// enqueueNS is when the job became ready for a worker, on the build's
 	// timeline clock. File-level units have no inter-unit dependencies, so
 	// every job is ready the moment the pool starts; dependency-ordered
@@ -86,20 +86,18 @@ type compileJob struct {
 	enqueueNS int64
 }
 
-// runCompiles compiles work (in unit-name order) and returns per-job
-// outcomes and scheduling events aligned with it. Compile failures return
+// runCompiles compiles work (in unit-name order; hashes holds each unit's
+// declared hash) and returns per-job outcomes and scheduling events
+// aligned with it. Compile failures return
 // an error; cancellation does not — it leaves nil-result holes (and
 // zero-unit event holes) for the caller to detect.
-func (b *Builder) runCompiles(ctx context.Context, snap project.Snapshot, work []string) ([]outcome, []obs.UnitEvent, error) {
+func (b *Builder) runCompiles(ctx context.Context, snap project.Snapshot, work []string, hashes []uint64) ([]outcome, []obs.UnitEvent, error) {
 	enq := b.tlNow()
 	jobs := make([]compileJob, len(work))
 	for i, name := range work {
-		j := compileJob{name: name, src: snap[name], enqueueNS: enq}
+		j := compileJob{name: name, src: snap[name], hash: hashes[i], enqueueNS: enq}
 		if e, ok := b.units[name]; ok {
 			j.prev = e.state
-			j.probeDisk = !e.diskProbed && e.state == nil
-		} else {
-			j.probeDisk = true
 		}
 		jobs[i] = j
 	}
@@ -244,9 +242,9 @@ func safeCompile(ctx context.Context, c *compiler.Compiler, name string, src []b
 	return
 }
 
-// compileOne runs one unit through worker w's compiler, loading and saving
-// persistent dormancy state around it when a state directory is set. Busy
-// time (including state I/O) accrues to the worker's slot in b.busy —
+// compileOne runs one unit through worker w's compiler and saves its
+// state (and object) when a state directory is set. Busy time (including
+// state I/O) accrues to the worker's slot in b.busy —
 // written only by this worker, so no synchronization is needed; the shared
 // counters it touches are atomic. The unit's state pointer (shared with
 // b.units) is only ever touched by the one worker compiling the unit.
@@ -260,33 +258,23 @@ func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) outcome {
 		return outcome{err: fmt.Errorf("%s: build cancelled: %w", j.name, cerr)}
 	}
 
-	// Footprint mode attaches a per-unit trace: invalidating entries are
-	// pre-recorded, and the unit's state I/O goes through the trace's
-	// recording FS so it lands as advisory entries. The trace is private to
-	// this job — concurrent units never share one, so shared reads are
-	// counted once per reading unit, not globally.
+	// Footprint mode attaches a per-unit trace with the invalidating
+	// entries pre-recorded. The trace is private to this job — concurrent
+	// units never share one.
 	tr := b.newTrace(j.name, j.src)
-	fsys := b.fs
-	if tr != nil {
-		fsys = tr.FS(b.fs)
-	}
-
 	prev := j.prev
-	if prev == nil && j.probeDisk {
-		prev = b.loadUnitState(fsys, j.name)
-	}
 
 	// A whole-unit quarantine (a pass panicked on this unit) compiles
 	// through the stateless fallback until enough clean builds lift it.
 	if b.statefulMode() && prev != nil && prev.Quarantine.Whole() {
-		return b.compileQuarantined(ctx, w, fsys, tr, j, prev)
+		return b.compileQuarantined(ctx, w, tr, j, prev)
 	}
 
 	// Shared cache: try a verified remote fetch before compiling; a miss
 	// may return a coalescing lease this worker must publish or abandon.
 	var lease *heldLease
 	if b.cas != nil {
-		remote, held := b.casFetch(ctx, fsys, j)
+		remote, held := b.casFetch(ctx, j)
 		if remote != nil {
 			return *remote
 		}
@@ -296,7 +284,7 @@ func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) outcome {
 	res, err, panicked, msg := safeCompile(ctx, c, j.name, j.src, prev)
 	if panicked {
 		lease.abandon()
-		return b.compileAfterPanic(ctx, w, fsys, tr, j, msg)
+		return b.compileAfterPanic(ctx, w, tr, j, msg)
 	}
 	if err != nil {
 		lease.abandon()
@@ -306,7 +294,7 @@ func (b *Builder) compileOne(ctx context.Context, w int, j compileJob) outcome {
 	if res.State != nil {
 		b.settleQuarantine(res)
 		res.State.Footprint = fp
-		b.saveUnitState(fsys, j.name, res.State)
+		b.saveCompiled(j, res.State, res.Object)
 	}
 	if b.cas != nil {
 		b.casPublish(j, res, lease)
@@ -325,7 +313,7 @@ func (b *Builder) finishTrace(tr *footprint.Trace, j compileJob, res *compiler.U
 	if res.Object != nil {
 		RecordObjectDeps(tr, res.Object)
 	}
-	return tr.Finish(b.declaredHash(j.name, j.src))
+	return tr.Finish(j.hash)
 }
 
 // compileQuarantined compiles a whole-unit-quarantined unit on the
@@ -333,7 +321,7 @@ func (b *Builder) finishTrace(tr *footprint.Trace, j compileJob, res *compiler.U
 // count. At core.QuarantineCleanTarget the quarantine lifts and the unit
 // restarts cold — the pre-panic records were discarded at engagement, so
 // trust rebuilds from fresh observations.
-func (b *Builder) compileQuarantined(ctx context.Context, w int, fsys vfs.FS, tr *footprint.Trace, j compileJob, marker *core.UnitState) outcome {
+func (b *Builder) compileQuarantined(ctx context.Context, w int, tr *footprint.Trace, j compileJob, marker *core.UnitState) outcome {
 	fc, ferr := b.fallback(w)
 	if ferr != nil {
 		return outcome{err: ferr}
@@ -345,7 +333,7 @@ func (b *Builder) compileQuarantined(ctx context.Context, w int, fsys vfs.FS, tr
 		// window restarts.
 		b.ctr.panics.Inc()
 		marker.Quarantine.Clean = 0
-		b.saveUnitState(fsys, j.name, marker)
+		b.saveUnitState(j.name, marker)
 		return outcome{
 			err:      fmt.Errorf("%s: pass panicked (unit quarantined, stateless retry): %s", j.name, msg),
 			panicked: true,
@@ -363,7 +351,7 @@ func (b *Builder) compileQuarantined(ctx context.Context, w int, fsys vfs.FS, tr
 		return outcome{res: res, qclear: true, fp: fp}
 	}
 	marker.Footprint = fp
-	b.saveUnitState(fsys, j.name, marker)
+	b.saveUnitState(j.name, marker)
 	return outcome{res: res, qstate: marker, fp: fp}
 }
 
@@ -371,7 +359,7 @@ func (b *Builder) compileQuarantined(ctx context.Context, w int, fsys vfs.FS, tr
 // state (its records may have been half-updated by the panicking pass),
 // and retry once on the stateless fallback so the unit — whose source is
 // not at fault — still compiles.
-func (b *Builder) compileAfterPanic(ctx context.Context, w int, fsys vfs.FS, tr *footprint.Trace, j compileJob, msg string) outcome {
+func (b *Builder) compileAfterPanic(ctx context.Context, w int, tr *footprint.Trace, j compileJob, msg string) outcome {
 	b.ctr.panics.Inc()
 	b.warnf("panic: unit %s: pass panicked: %s (unit quarantined, compiled stateless)", j.name, msg)
 
@@ -380,7 +368,7 @@ func (b *Builder) compileAfterPanic(ctx context.Context, w int, fsys vfs.FS, tr 
 		marker = core.NewUnitState(j.name, b.opts.Pipeline)
 		marker.Quarantine = &core.Quarantine{Reason: core.QuarantinePanic}
 		b.ctr.quarantineEngaged.Inc()
-		b.saveUnitState(fsys, j.name, marker)
+		b.saveUnitState(j.name, marker)
 	}
 
 	fc, ferr := b.fallback(w)

@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"statefulcc/internal/buildsys"
+	"statefulcc/internal/codegen"
 	"statefulcc/internal/compiler"
+	"statefulcc/internal/obs"
 	"statefulcc/internal/project"
 	"statefulcc/internal/state"
 	"statefulcc/internal/vm"
@@ -34,6 +36,17 @@ func main() int { print("sum", helper(5)); return helper(5); }
 	}
 }
 
+// libGrownSnap is twoUnitSnap with a function added to lib.mc: a one-unit
+// edit that leaves helper untouched, so its dormant passes can skip when
+// lib.mc recompiles.
+func libGrownSnap() project.Snapshot {
+	s := twoUnitSnap()
+	s["lib.mc"] = append(append([]byte(nil), s["lib.mc"]...), `
+func twice(x int) int { return x * 2; }
+`...)
+	return s
+}
+
 func mustBuild(t *testing.T, b *buildsys.Builder, snap project.Snapshot) *buildsys.Report {
 	t.Helper()
 	rep, err := b.Build(snap)
@@ -43,8 +56,11 @@ func mustBuild(t *testing.T, b *buildsys.Builder, snap project.Snapshot) *builds
 	return rep
 }
 
-// TestStatePersistenceAcrossBuilders: dormancy state written by one
-// builder warms a fresh builder in a new "process".
+// TestStatePersistenceAcrossBuilders: state written by one builder warms
+// a fresh builder in a new "process". On an unchanged snapshot every unit
+// is served from its persisted object (nothing compiles); after a one-unit
+// edit exactly that unit compiles, skipping dormant passes on its
+// persisted records. Every program equals the stateless oracle.
 func TestStatePersistenceAcrossBuilders(t *testing.T) {
 	dir := t.TempDir()
 	snap := twoUnitSnap()
@@ -69,21 +85,40 @@ func TestStatePersistenceAcrossBuilders(t *testing.T) {
 		t.Fatalf("state files = %d, want %d (%v)", len(stateFiles), len(snap), stateFiles)
 	}
 
-	// A fresh builder has an empty object cache, so it recompiles — but
-	// the disk state must make those recompiles skip dormant passes.
 	b2, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, StateDir: dir, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := mustBuild(t, b2, snap)
-	if rep.UnitsCompiled != len(snap) {
-		t.Fatalf("fresh builder compiled %d units, want %d", rep.UnitsCompiled, len(snap))
+	if rep.UnitsCompiled != 0 || rep.UnitsCached != len(snap) {
+		t.Fatalf("fresh builder on an unchanged snapshot compiled %d, served %d; want 0, %d",
+			rep.UnitsCompiled, rep.UnitsCached, len(snap))
+	}
+	if got := rep.Metrics[obs.CtrStateLoads]; got != int64(len(snap)) {
+		t.Errorf("%s = %d, want one per unit (%d)", obs.CtrStateLoads, got, len(snap))
+	}
+	if rep.StateBytes <= 0 {
+		t.Error("stateful build reports no state bytes")
+	}
+	if codegen.DisassembleProgram(rep.Program) != statelessDisasm(t, snap) {
+		t.Error("program served from persisted objects differs from the stateless oracle")
+	}
+
+	edited := libGrownSnap()
+	b3, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, StateDir: dir, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep = mustBuild(t, b3, edited)
+	if rep.UnitsCompiled != 1 || !rep.Units["lib.mc"].Compiled {
+		t.Fatalf("fresh builder after a one-unit edit compiled %d units (%v), want only lib.mc",
+			rep.UnitsCompiled, rep.Units)
 	}
 	if _, _, skipped := rep.Stats().Totals(); skipped == 0 {
 		t.Error("persisted state produced no skips in a fresh builder")
 	}
-	if rep.StateBytes <= 0 {
-		t.Error("stateful build reports no state bytes")
+	if codegen.DisassembleProgram(rep.Program) != statelessDisasm(t, edited) {
+		t.Error("partly restored program differs from the stateless oracle")
 	}
 }
 
@@ -223,12 +258,13 @@ func TestCrashMidStateWrite(t *testing.T) {
 		t.Errorf("orphaned temp file not swept at builder start (stat err: %v)", err)
 	}
 
-	// The rebuild rewrote good state; one more fresh builder must skip again.
+	// The rebuild rewrote good state; one more fresh builder, after an
+	// edit, must skip again.
 	b3, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, StateDir: dir, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep3 := mustBuild(t, b3, snap)
+	rep3 := mustBuild(t, b3, libGrownSnap())
 	if _, _, skipped := rep3.Stats().Totals(); skipped == 0 {
 		t.Error("state not re-persisted after crash recovery")
 	}

@@ -161,6 +161,24 @@ type UnitState struct {
 	// (internal/footprint). Persisted in format v6; older files load with
 	// no footprint.
 	Footprint *footprint.Record
+	// Object, when non-nil, is the unit's compiled object stored next to
+	// its records (format v7), so a later process can serve the unchanged
+	// unit without compiling it. The pass manager neither reads nor writes
+	// it; internal/state packs and unpacks it.
+	Object *StoredObject
+}
+
+// StoredObject is a compiled object persisted with its unit's state.
+type StoredObject struct {
+	// SourceHash is the declared content hash of the source the object was
+	// compiled from: the object may only be served for that source.
+	SourceHash uint64
+	// Sum checksums Packed, so a damaged block is rejected before it is
+	// inflated.
+	Sum uint64
+	// Packed is the flate-compressed canonical object encoding
+	// (cas.EncodeObject).
+	Packed []byte
 }
 
 // Quarantined reports whether the named pass may not be skipped for this

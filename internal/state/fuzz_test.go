@@ -6,8 +6,9 @@ package state_test
 //
 //  1. Decode never panics and never over-allocates, no matter the bytes:
 //     every slice it grows is bounded by the bytes actually present, not
-//     by counts declared in the header. This covers both decoders — the
-//     zero-copy v5 cursor and the legacy v3/v4 streaming parser.
+//     by counts declared in the header. UnpackObject, run on every object
+//     block Decode accepts, never panics either, and its inflation is
+//     capped.
 //  2. Anything Decode accepts is canonical: re-encoding the decoded state
 //     succeeds, FileSize agrees with the re-encoded length, and decoding
 //     the re-encoding reproduces the state exactly (older versions
@@ -18,6 +19,8 @@ package state_test
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -28,7 +31,8 @@ import (
 
 // fuzzSeedStates are hand-built states spanning the format's shapes:
 // empty, module-only, shared dormant hashes, changed and unseen slots,
-// zero-slot functions.
+// zero-slot functions, a footprint, and v7 object blocks (a packed object
+// and an empty one).
 func fuzzSeedStates() []*core.UnitState {
 	return []*core.UnitState{
 		{
@@ -76,35 +80,66 @@ func fuzzSeedStates() []*core.UnitState {
 				},
 			},
 		},
+		{
+			Unit:        "obj.mc",
+			Funcs:       map[string]*core.FuncState{},
+			ModuleSlots: []core.Record{{InputHash: 5, CostNS: 256}},
+			ModuleSeen:  []bool{true},
+			Object:      state.PackObject(0xFEED, bytes.Repeat([]byte("func f() int { return 1; }\n"), 8)),
+		},
+		{
+			Unit:        "empty-obj.mc",
+			Funcs:       map[string]*core.FuncState{},
+			ModuleSlots: []core.Record{},
+			ModuleSeen:  []bool{},
+			Object:      state.PackObject(0, nil),
+		},
 	}
 }
 
 func FuzzStateDecode(f *testing.F) {
-	// Seed both the current zero-copy layout and the frozen v4 layout so
-	// the fuzzer mutates structure in both decoders from the start.
 	for _, st := range fuzzSeedStates() {
-		for _, enc := range []func(*bytes.Buffer, *core.UnitState) error{
-			func(b *bytes.Buffer, st *core.UnitState) error { return state.Encode(b, st) },
-			func(b *bytes.Buffer, st *core.UnitState) error { return state.EncodeV4(b, st) },
-		} {
-			var buf bytes.Buffer
-			if err := enc(&buf, st); err != nil {
-				f.Fatal(err)
-			}
-			data := buf.Bytes()
-			f.Add(append([]byte(nil), data...))
-			// Truncations steer the fuzzer at every mid-structure boundary.
-			for _, n := range []int{0, 4, 8, 12, len(data) / 2, len(data) - 1} {
-				if n <= len(data) {
-					f.Add(append([]byte(nil), data[:n]...))
-				}
+		var buf bytes.Buffer
+		if err := state.Encode(&buf, st); err != nil {
+			f.Fatal(err)
+		}
+		data := buf.Bytes()
+		f.Add(append([]byte(nil), data...))
+		// Truncations steer the fuzzer at every mid-structure boundary.
+		cuts := []int{0, 4, 8, 12, len(data) / 2, len(data) - 1}
+		if o := st.Object; o != nil {
+			// ... and inside the object block: its marker, source hash,
+			// checksum, length and payload.
+			blk := len(data) - len(o.Packed) - 21
+			cuts = append(cuts, blk, blk+1, blk+9, blk+17, blk+21+len(o.Packed)/2)
+		}
+		for _, n := range cuts {
+			if n <= len(data) {
+				f.Add(append([]byte(nil), data[:n]...))
 			}
 		}
+	}
+	// An object block whose checksum does not match its payload: Decode
+	// accepts it (objects are verified lazily), UnpackObject must not.
+	bad := fuzzSeedStates()[4]
+	bad.Object.Sum++
+	var buf bytes.Buffer
+	if err := state.Encode(&buf, bad); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	// The retired v3/v4 layouts, which must be rejected.
+	for _, file := range []string{"unitstate_v3.golden", "unitstate_v4.golden", "unitstate_v4_quarantined.golden"} {
+		data, err := os.ReadFile(filepath.Join("testdata", file))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
 	}
 	// Adversarial headers: valid magic/version, then huge declared counts
 	// with no bytes behind them — the over-allocation shape — for every
 	// accepted version.
-	for _, v := range []uint32{3, 4, state.FormatVersion} {
+	for _, v := range []uint32{5, 6, state.FormatVersion} {
 		hdr := []byte("SCCSTATE")
 		hdr = binary.LittleEndian.AppendUint32(hdr, v)
 		hdr = binary.LittleEndian.AppendUint64(hdr, 42)    // pipeline hash
@@ -122,6 +157,16 @@ func FuzzStateDecode(f *testing.F) {
 		}
 		if st == nil {
 			t.Fatal("Decode returned neither state nor error")
+		}
+		if st.Object != nil {
+			if payload, err := state.UnpackObject(st.Object); err == nil {
+				// A verified object re-packs to a block that unpacks to the
+				// same bytes.
+				again, err := state.UnpackObject(state.PackObject(st.Object.SourceHash, payload))
+				if err != nil || !bytes.Equal(again, payload) {
+					t.Fatalf("re-packed object does not unpack: %v", err)
+				}
+			}
 		}
 
 		// DecodeBytes is the same parser without the reader indirection;

@@ -7,22 +7,23 @@ package state_test
 // up as a diff against testdata/, and an intended change forces a
 // conscious FormatVersion bump plus `go test ./internal/state -update`.
 //
-// Four pins exist: the current v6 layout (encoder + decoder; v5 zero-copy
-// plus the dependency-footprint block), the frozen v5 files from before
-// the footprint block (decode-only), the frozen v4 files from the
-// pre-length-prefix layout (EncodeV4 is retained, so both encoder halves
-// stay pinned), and the frozen v3 file from before the quarantine block.
-// The decoder must keep accepting the frozen versions forever (migration
-// path for state written by released binaries).
+// Pins: the current v7 layout (encoder + decoder; the v6 layout plus the
+// object block), and the frozen v6 and v5 files (decode-only) from before
+// the object and footprint blocks. The decoder must keep accepting the
+// frozen versions (migration path for state written by released
+// binaries). The frozen v4 and v3 files pin the other side: those layouts
+// are no longer decoded, and must be rejected so the unit runs cold.
 
 import (
 	"bytes"
 	"encoding/hex"
 	"flag"
+	"hash/crc64"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"statefulcc/internal/core"
@@ -131,127 +132,110 @@ func goldenFootprintState() *core.UnitState {
 	return st
 }
 
-func TestGoldenFormatV6(t *testing.T) {
-	if state.FormatVersion != 6 {
+// goldenObjectState adds the v7 object block. Packed is a stored
+// (uncompressed) deflate block, so the pin depends on the layout alone and
+// not on the compressor's output, and UnpackObject still accepts it.
+func goldenObjectState() *core.UnitState {
+	st := goldenFootprintState()
+	packed := []byte{0x01, 0x03, 0x00, 0xfc, 0xff, 'o', 'b', 'j'}
+	st.Object = &core.StoredObject{
+		SourceHash: 0x0F0E0D0C0B0A0908,
+		Sum:        crc64.Checksum(packed, crc64.MakeTable(crc64.ECMA)),
+		Packed:     packed,
+	}
+	return st
+}
+
+func TestGoldenFormatV7(t *testing.T) {
+	if state.FormatVersion != 7 {
 		t.Fatalf("FormatVersion is %d; regenerate the golden files for the new layout "+
 			"(go test ./internal/state -update) and rename them accordingly", state.FormatVersion)
 	}
-	checkGolden(t, "unitstate_v6.golden", goldenState(), state.Encode)
-	checkGolden(t, "unitstate_v6_quarantined.golden", goldenQuarantinedState(), state.Encode)
-	checkGolden(t, "unitstate_v6_footprint.golden", goldenFootprintState(), state.Encode)
+	checkGolden(t, "unitstate_v7.golden", goldenState(), state.Encode)
+	checkGolden(t, "unitstate_v7_quarantined.golden", goldenQuarantinedState(), state.Encode)
+	checkGolden(t, "unitstate_v7_footprint.golden", goldenFootprintState(), state.Encode)
+	checkGolden(t, "unitstate_v7_object.golden", goldenObjectState(), state.Encode)
+
+	data, err := os.ReadFile(filepath.Join("testdata", "unitstate_v7_object.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := state.DecodeBytes(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := state.UnpackObject(st.Object)
+	if err != nil || string(payload) != "obj" {
+		t.Fatalf("pinned object block unpacks to %q, %v; want \"obj\"", payload, err)
+	}
+}
+
+// TestGoldenFormatV6 pins the decode side of the v6 layout: the frozen v6
+// files (written before the object block existed) must keep decoding to
+// the same states, with no object. No v6 encoder is retained, so these
+// files are never regenerated.
+func TestGoldenFormatV6(t *testing.T) {
+	checkFrozen(t, "unitstate_v6.golden", goldenState())
+	checkFrozen(t, "unitstate_v6_quarantined.golden", goldenQuarantinedState())
+	checkFrozen(t, "unitstate_v6_footprint.golden", goldenFootprintState())
 }
 
 // TestGoldenV5Frozen pins the decode side of the v5 layout: the frozen v5
 // files (written before the footprint block existed) must keep decoding to
-// the same states — with nil footprints — forever. No v5 encoder is
-// retained, so these files are never regenerated.
+// the same states — with nil footprints — forever.
 func TestGoldenV5Frozen(t *testing.T) {
-	for _, tc := range []struct {
-		file string
-		st   *core.UnitState
-	}{
-		{"unitstate_v5.golden", goldenState()},
-		{"unitstate_v5_quarantined.golden", goldenQuarantinedState()},
-	} {
-		want, err := os.ReadFile(filepath.Join("testdata", tc.file))
-		if err != nil {
-			t.Fatalf("frozen v5 golden file missing: %v", err)
-		}
-		got, err := state.Decode(bytes.NewReader(want))
-		if err != nil {
-			t.Fatalf("v5 bytes no longer decode — migration path broken: %v", err)
-		}
-		if !reflect.DeepEqual(got, tc.st) {
-			t.Fatalf("v5 bytes decode to a different state:\ngot:  %+v\nwant: %+v", got, tc.st)
-		}
-		if got.Footprint != nil {
-			t.Fatalf("v5 file decoded with a footprint: %+v", got.Footprint)
-		}
+	checkFrozen(t, "unitstate_v5.golden", goldenState())
+	checkFrozen(t, "unitstate_v5_quarantined.golden", goldenQuarantinedState())
+}
+
+// checkFrozen decodes a frozen golden file and requires exactly st (whose
+// footprint and object are nil where the layout predates them).
+func checkFrozen(t *testing.T, file string, st *core.UnitState) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", file))
+	if err != nil {
+		t.Fatalf("frozen golden file missing: %v", err)
+	}
+	got, err := state.Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("%s no longer decodes — migration path broken: %v", file, err)
+	}
+	if !reflect.DeepEqual(got, st) {
+		t.Fatalf("%s decodes to a different state:\ngot:  %+v\nwant: %+v", file, got, st)
 	}
 }
 
-// TestGoldenV4Frozen pins the previous layout from both ends: EncodeV4
-// (retained for layout-comparison benchmarks) must keep producing the
-// frozen v4 bytes, and the decoder must keep accepting them forever. The
-// files are never regenerated by -update.
-func TestGoldenV4Frozen(t *testing.T) {
-	for _, tc := range []struct {
-		file string
-		st   *core.UnitState
-	}{
-		{"unitstate_v4.golden", goldenState()},
-		{"unitstate_v4_quarantined.golden", goldenQuarantinedState()},
+// TestLegacyLayoutsRejected: the frozen v4 and v3 files are refused with a
+// version error, never misparsed. Their records were written under an
+// older core.StateVersion and could not pass Compatible anyway, so a
+// rejected file costs exactly what it did before: a cold compile.
+func TestLegacyLayoutsRejected(t *testing.T) {
+	for _, file := range []string{
+		"unitstate_v4.golden", "unitstate_v4_quarantined.golden", "unitstate_v3.golden",
 	} {
-		want, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		data, err := os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {
-			t.Fatalf("frozen v4 golden file missing: %v", err)
+			t.Fatalf("frozen golden file missing: %v", err)
 		}
-		var buf bytes.Buffer
-		if err := state.EncodeV4(&buf, tc.st); err != nil {
-			t.Fatal(err)
+		st, err := state.DecodeBytes(data)
+		if err == nil || !strings.Contains(err.Error(), "unsupported version") {
+			t.Fatalf("%s: decode = %+v, %v; want an unsupported-version error", file, st, err)
 		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("EncodeV4 drifted from the frozen %s bytes\ngot:\n%s\nwant:\n%s",
-				tc.file, hex.Dump(buf.Bytes()), hex.Dump(want))
-		}
-		got, err := state.Decode(bytes.NewReader(want))
-		if err != nil {
-			t.Fatalf("v4 bytes no longer decode — migration path broken: %v", err)
-		}
-		if !reflect.DeepEqual(got, tc.st) {
-			t.Fatalf("v4 bytes decode to a different state:\ngot:  %+v\nwant: %+v", got, tc.st)
-		}
-	}
-}
-
-// TestDecodeV3Migration pins the migration path: the frozen v3 golden file
-// (written by the pre-quarantine encoder) must decode into the same state
-// with no quarantine, forever. This file is never regenerated — it is the
-// compatibility contract with already-deployed state directories.
-func TestDecodeV3Migration(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "unitstate_v3.golden"))
-	if err != nil {
-		t.Fatalf("frozen v3 golden file missing: %v", err)
-	}
-	got, err := state.Decode(bytes.NewReader(want))
-	if err != nil {
-		t.Fatalf("v3 bytes no longer decode — migration path broken: %v", err)
-	}
-	if !reflect.DeepEqual(got, goldenState()) {
-		t.Fatalf("v3 bytes decode to a different state:\ngot:  %+v\nwant: %+v",
-			got, goldenState())
-	}
-	if got.Quarantine != nil {
-		t.Fatalf("v3 file decoded with a quarantine: %+v", got.Quarantine)
-	}
-
-	// A migrated state re-encodes as the current version and round-trips.
-	var buf bytes.Buffer
-	if err := state.Encode(&buf, got); err != nil {
-		t.Fatal(err)
-	}
-	again, err := state.Decode(&buf)
-	if err != nil {
-		t.Fatalf("migrated re-encode does not decode: %v", err)
-	}
-	if !reflect.DeepEqual(again, got) {
-		t.Fatalf("v3→v%d migration round-trip drifted:\ngot:  %+v\nwant: %+v",
-			state.FormatVersion, again, got)
 	}
 }
 
 // TestDecodeEveryPrefix feeds the decoder every strict prefix of the
-// golden v6 files (and the frozen v5/v4/v3 ones). A truncated state file —
+// golden v7 files (and the frozen v6/v5 ones). A truncated state file —
 // the torn-write shape the atomic saver is designed to prevent but a
 // hostile filesystem can still produce — must always be rejected, never
 // misparsed into a partial state.
 func TestDecodeEveryPrefix(t *testing.T) {
 	for _, file := range []string{
+		"unitstate_v7.golden", "unitstate_v7_quarantined.golden",
+		"unitstate_v7_footprint.golden", "unitstate_v7_object.golden",
 		"unitstate_v6.golden", "unitstate_v6_quarantined.golden",
 		"unitstate_v6_footprint.golden",
 		"unitstate_v5.golden", "unitstate_v5_quarantined.golden",
-		"unitstate_v4.golden", "unitstate_v4_quarantined.golden",
-		"unitstate_v3.golden",
 	} {
 		data, err := os.ReadFile(filepath.Join("testdata", file))
 		if err != nil {

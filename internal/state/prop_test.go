@@ -86,6 +86,11 @@ func randState(r *rand.Rand) *core.UnitState {
 	if r.Intn(2) == 0 {
 		st.Footprint = randFootprint(r)
 	}
+	if r.Intn(2) == 0 {
+		payload := make([]byte, r.Intn(256))
+		r.Read(payload)
+		st.Object = state.PackObject(r.Uint64(), payload)
+	}
 	return st
 }
 

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"statefulcc/internal/core"
@@ -212,4 +213,70 @@ func TestReloadedStateSkips(t *testing.T) {
 	if _, _, skipped := stats.Totals(); skipped == 0 {
 		t.Error("reloaded state produced no skips")
 	}
+}
+
+// TestObjectPackUnpack: a packed object unpacks to its exact bytes, and
+// any damage to the block — a flipped payload byte, a wrong checksum — is
+// an error, never a silently different object.
+func TestObjectPackUnpack(t *testing.T) {
+	payload := bytes.Repeat([]byte("mov r1, r2; call helper; ret\n"), 64)
+	o := state.PackObject(0xABCD, payload)
+	if o.SourceHash != 0xABCD {
+		t.Fatalf("source hash %x not kept", o.SourceHash)
+	}
+	if len(o.Packed) >= len(payload) {
+		t.Fatalf("packed %d bytes from %d: not compressed", len(o.Packed), len(payload))
+	}
+	got, err := state.UnpackObject(o)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("unpack = %d bytes, %v; want the %d packed bytes", len(got), err, len(payload))
+	}
+
+	// The block survives a save/load round trip through the state file.
+	path := filepath.Join(t.TempDir(), "unit.state")
+	st := buildState(t)
+	st.Object = o
+	if err := state.Save(path, st); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := state.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := state.UnpackObject(loaded.Object); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("loaded object unpack: %v", err)
+	}
+
+	flipped := *o
+	flipped.Packed = append([]byte(nil), o.Packed...)
+	flipped.Packed[len(flipped.Packed)/2] ^= 0x40
+	if _, err := state.UnpackObject(&flipped); err == nil {
+		t.Error("a flipped payload byte unpacked without error")
+	}
+	badSum := *o
+	badSum.Sum++
+	if _, err := state.UnpackObject(&badSum); err == nil {
+		t.Error("a wrong checksum unpacked without error")
+	}
+}
+
+// TestObjectPackConcurrent: build workers pack objects at once through the
+// shared writer; every block must still unpack to its own payload.
+func TestObjectPackConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				payload := bytes.Repeat([]byte{byte(g), byte(i), 'x'}, 100*(i+1))
+				got, err := state.UnpackObject(state.PackObject(uint64(g), payload))
+				if err != nil || !bytes.Equal(got, payload) {
+					t.Errorf("goroutine %d object %d: unpack %d bytes, %v", g, i, len(got), err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -73,9 +73,11 @@ func TestModeEquivalenceSuite(t *testing.T) {
 }
 
 // TestModeEquivalencePersistedState re-runs the history with stateful
-// builders that persist dormancy records to disk and are recreated between
-// commits — the CLI deployment model, where skips are driven by state
-// written in an earlier process — and still demands byte-identical output.
+// builders that persist dormancy records and objects to disk and are
+// recreated between commits — the CLI deployment model, where unchanged
+// units are served from objects and skips in edited ones are driven by
+// state written in an earlier process — and still demands byte-identical
+// output.
 func TestModeEquivalencePersistedState(t *testing.T) {
 	p := workload.QuickSuite()[0]
 	base := workload.Generate(p)
@@ -94,7 +96,8 @@ func TestModeEquivalencePersistedState(t *testing.T) {
 		}
 		want := codegen.DisassembleProgram(rep.Program)
 
-		// Fresh builder per commit: only the on-disk state carries over.
+		// Fresh builder per commit: only the on-disk state (records and
+		// objects) carries over.
 		b, err := buildsys.NewBuilder(buildsys.Options{Mode: compiler.ModeStateful, StateDir: stateDir})
 		if err != nil {
 			t.Fatal(err)
